@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"duet/internal/faults"
 	"duet/internal/sched"
 	"duet/internal/sim"
+	"duet/internal/telemetry"
 )
 
 // referenceArrivals is an independent re-implementation of the serve
@@ -183,7 +185,10 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 			Shards:      3, FrontEnd: cluster.LeastOutstanding, Handoff: 1,
 		},
 	)
-	for _, cfg := range cases {
+	if len(cases) != len(clusterGoldens) {
+		t.Fatalf("%d cases but %d golden hashes", len(cases), len(clusterGoldens))
+	}
+	for i, cfg := range cases {
 		name := fmt.Sprintf("%v/%v/%v", cfg.FrontEnd, cfg.Backend, cfg.Stats)
 		if cfg.Faults != nil {
 			name += "/faults"
@@ -203,8 +208,69 @@ func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("streaming result diverged from materialized:\ngot  %+v\nwant %+v", got, want)
 			}
+			if h := clusterResultHash(t, want); h != clusterGoldens[i] {
+				t.Fatalf("result hash = %#x, want %#x (cluster output changed)", h, clusterGoldens[i])
+			}
 		})
 	}
+}
+
+// clusterGoldens pins TestServeClusterStreamingMatchesMaterialized's grid
+// case by case (clusterResultHash of each result), so the cluster
+// pipeline's output stays fixed however its internals are rearranged.
+var clusterGoldens = [...]uint64{
+	0xb6b9576df522e045, 0x134ba800b0a94d0f, 0x711423b59e2a78e2, 0xa57904bbad704800,
+	0x817ac201e6f77b88, 0x32bfef18b969a2bb, 0xc3470ab025993a21, 0xb2fd6f95f4b1583b,
+	0x7b58511b25ff0af1, 0xe7c93427919998e5, 0x1722d8c9d3afb3af, 0x5bd217c911e377d3,
+	0x49c190ee487b2da4, 0x954fb1f03c44069b, 0xed486ddc402315b0, 0xc3470ab025993a21,
+}
+
+// clusterResultHash is an FNV-1a hash over a canonical JSON encoding of
+// everything reflect.DeepEqual compares in a ClusterResult. The digest
+// and the flight recorders keep their state in unexported fields, so
+// they enter through their public readouts: the digest's count, size
+// and a quantile ladder, and each recorder's Series rows.
+func clusterResultHash(t *testing.T, r ClusterResult) uint64 {
+	t.Helper()
+	type shard struct {
+		Shard, Assigned     int
+		Seed                int64
+		Stats               sched.Stats
+		Sojourns            []sim.Time
+		WaitSum, ServiceSum sim.Time
+		DigestCount         uint64
+		DigestBytes         int
+		DigestQuantiles     []sim.Time
+		Windows             []telemetry.WindowRow
+	}
+	canon := struct {
+		Result   ClusterResult
+		PerShard []shard
+	}{Result: r}
+	canon.Result.PerShard = nil
+	for _, s := range r.PerShard {
+		c := shard{
+			Shard: s.Shard, Assigned: s.Assigned, Seed: s.Seed, Stats: s.Stats,
+			Sojourns: s.Sojourns, WaitSum: s.WaitSum, ServiceSum: s.ServiceSum,
+		}
+		if s.Digest != nil {
+			c.DigestCount, c.DigestBytes = s.Digest.Count(), s.Digest.MemoryBytes()
+			for _, p := range []float64{0.1, 1, 10, 25, 50, 75, 90, 99, 99.9, 100} {
+				c.DigestQuantiles = append(c.DigestQuantiles, s.Digest.Quantile(p))
+			}
+		}
+		if s.Windows != nil {
+			c.Windows = s.Windows.Series()
+		}
+		canon.PerShard = append(canon.PerShard, c)
+	}
+	b, err := json.Marshal(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // TestStreamingClusterFlatHeap is the capacity regression gate: a
