@@ -283,23 +283,26 @@ func serveStream1MConfig(be workload.BackendMode) workload.ClusterConfig {
 	}
 }
 
+// drawStream1M materializes cfg's arrival stream off the clock and
+// flushes the GC debt of the ~100 MB draw, so the timed region carries
+// only the run's own allocation behaviour. The run copies jobs out of
+// the stream and never writes it, so one draw serves every iteration.
+func drawStream1M(b *testing.B, cfg workload.ClusterConfig) []cluster.Arrival {
+	stream := workload.Arrivals(cfg.ServeConfig)
+	runtime.GC()
+	b.ResetTimer()
+	return stream
+}
+
 // benchServe1M runs the 1M-job cluster study at the given backend. The
-// arrival stream (identical on both backends, ~100 ms to draw) is
-// generated outside the timed region so the metric isolates what the
-// backends actually differ in: replica construction and simulation.
+// arrival stream (identical on both backends) is generated outside the
+// timed region so the metric isolates what the backends actually differ
+// in: replica construction and simulation.
 func benchServe1M(b *testing.B, be workload.BackendMode) {
 	cfg := serveStream1MConfig(be)
-	b.ResetTimer()
+	stream := drawStream1M(b, cfg)
 	var digestBytes, p99 float64
 	for i := 0; i < b.N; i++ {
-		// The stream is consumed by the run (replicas write outcomes into
-		// it), so each iteration draws a fresh copy off the clock; the GC
-		// debt of the ~100 MB draw is flushed off the clock too, so the
-		// timed region carries only the backend's own allocation behaviour.
-		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
-		runtime.GC()
-		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)
 		if err != nil {
 			b.Fatal(err)
@@ -368,12 +371,8 @@ func BenchmarkServeModel100M(b *testing.B) {
 func BenchmarkServeFaultFree(b *testing.B) {
 	cfg := serveStream1MConfig(workload.BackendModel)
 	cfg.Faults = &faults.Plan{}
-	b.ResetTimer()
+	stream := drawStream1M(b, cfg)
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
-		runtime.GC()
-		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)
 		if err != nil {
 			b.Fatal(err)
@@ -399,12 +398,8 @@ func BenchmarkServeRecovery(b *testing.B) {
 		Seed: 1, WedgeProb: 0.002, MaxRetries: 2,
 		RepairDelay: 500 * sim.US,
 	}
-	b.ResetTimer()
+	stream := drawStream1M(b, cfg)
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		stream := workload.Arrivals(cfg.ServeConfig)
-		runtime.GC()
-		b.StartTimer()
 		r, err := workload.ServeClusterOver(cfg, stream)
 		if err != nil {
 			b.Fatal(err)

@@ -85,7 +85,9 @@ func daemonCmd(o daemonOpts) error {
 	}
 	stop := make(chan struct{})
 	go srv.RunTicker(2*time.Millisecond, stop)
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may dribble request
+	// headers before the connection is dropped.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -132,3 +132,22 @@ func TestFig12Shape(t *testing.T) {
 		t.Errorf("bfs Duet did not scale from 4 to 8 cores (%v -> %v)", d4.Runtime, d8.Runtime)
 	}
 }
+
+// TestHARuntimeDeterministic: a hardware-augmentation point must report
+// the same runtime on every run. A 16-core BFS invalidates lines held by
+// many sharers, so it fails whenever the coherence home forwards those
+// invalidations in map-iteration order.
+func TestHARuntimeDeterministic(t *testing.T) {
+	cfg := BFSConfig{Cores: 16, Nodes: 256, AvgDegree: 4, Seed: 13}
+	for _, v := range []Variant{VariantCPU, VariantDuet} {
+		first := RunBFS(v, cfg)
+		if first.Err != nil {
+			t.Fatal(first.Err)
+		}
+		for i := 1; i < 5; i++ {
+			if r := RunBFS(v, cfg); r.Runtime != first.Runtime {
+				t.Fatalf("bfs/16 variant %v run %d: runtime %v, first run %v", v, i, r.Runtime, first.Runtime)
+			}
+		}
+	}
+}

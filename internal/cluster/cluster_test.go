@@ -82,8 +82,8 @@ func TestRunDeterministic(t *testing.T) {
 	for fe := cluster.FrontEnd(0); fe < cluster.NumFrontEnds; fe++ {
 		t.Run(fe.String(), func(t *testing.T) {
 			cfg := cluster.Config{Shards: 3, FrontEnd: fe, Seed: 9, NewReplica: newReplica(sched.Affinity, -1)}
-			r1, err1 := cluster.Run(cfg, stream(120))
-			r2, err2 := cluster.Run(cfg, stream(120))
+			r1, err1 := cluster.RunSource(cfg, cluster.NewSliceSource(stream(120)))
+			r2, err2 := cluster.RunSource(cfg, cluster.NewSliceSource(stream(120)))
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -110,9 +110,9 @@ func TestRunDeterministic(t *testing.T) {
 // TestFrontEndRouting checks each policy's characteristic split shape.
 func TestFrontEndRouting(t *testing.T) {
 	run := func(fe cluster.FrontEnd, shards int) *cluster.Result {
-		r, err := cluster.Run(cluster.Config{
+		r, err := cluster.RunSource(cluster.Config{
 			Shards: shards, FrontEnd: fe, Seed: 4, NewReplica: newReplica(sched.FIFO, -1),
-		}, stream(90))
+		}, cluster.NewSliceSource(stream(90)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +166,10 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 			App: testApps[i%len(testApps)].name, InputSize: 64,
 		}}
 	}
-	r, err := cluster.Run(cluster.Config{
+	r, err := cluster.RunSource(cluster.Config{
 		Shards: 3, FrontEnd: cluster.LeastOutstanding, Seed: 1,
 		NewReplica: newReplica(sched.FIFO, -1),
-	}, arr)
+	}, cluster.NewSliceSource(arr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestLeastOutstandingTieBreak(t *testing.T) {
 func TestHeterogeneousShardRouting(t *testing.T) {
 	mk := newReplicaN(sched.FIFO, -1, 1)
 	big := newReplicaN(sched.FIFO, -1, 4)
-	r, err := cluster.Run(cluster.Config{
+	r, err := cluster.RunSource(cluster.Config{
 		Shards: 2, FrontEnd: cluster.LeastOutstanding, Seed: 1,
 		NewReplica: func(shard int, seed int64) (cluster.Replica, error) {
 			if shard == 1 {
@@ -199,7 +199,7 @@ func TestHeterogeneousShardRouting(t *testing.T) {
 			}
 			return mk(shard, seed)
 		},
-	}, stream(120))
+	}, cluster.NewSliceSource(stream(120)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,25 +274,66 @@ func TestMergeMixedModeQuantiles(t *testing.T) {
 // TestRunErrors: configuration and replica failures surface with their
 // shard attribution; all goroutines are still joined.
 func TestRunErrors(t *testing.T) {
-	if _, err := cluster.Run(cluster.Config{Shards: 2}, stream(4)); err == nil {
+	if _, err := cluster.RunSource(cluster.Config{Shards: 2}, cluster.NewSliceSource(stream(4))); err == nil {
 		t.Fatal("missing NewReplica not rejected")
 	}
-	if _, err := cluster.Run(cluster.Config{
+	if _, err := cluster.RunSource(cluster.Config{
 		Shards: 2, FrontEnd: cluster.NumFrontEnds, NewReplica: newReplica(sched.FIFO, -1),
-	}, stream(4)); err == nil {
+	}, cluster.NewSliceSource(stream(4))); err == nil {
 		t.Fatal("bogus front end not rejected")
 	}
 	factoryErr := func(shard int, seed int64) (cluster.Replica, error) {
 		return nil, errors.New("no fabric")
 	}
-	if _, err := cluster.Run(cluster.Config{Shards: 2, NewReplica: factoryErr}, stream(4)); err == nil {
+	if _, err := cluster.RunSource(cluster.Config{Shards: 2, NewReplica: factoryErr}, cluster.NewSliceSource(stream(4))); err == nil {
 		t.Fatal("factory error not propagated")
 	}
-	_, err := cluster.Run(cluster.Config{
+	_, err := cluster.RunSource(cluster.Config{
 		Shards: 3, FrontEnd: cluster.RoundRobin, Seed: 1, NewReplica: newReplica(sched.FIFO, 1),
-	}, stream(30))
+	}, cluster.NewSliceSource(stream(30)))
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("replica failure not attributed to its shard: %v", err)
+	}
+}
+
+// TestPlayIndexFeed: Play over (stream, mine) must equal PlayStream over
+// the selected subsequence, nil mine must play the whole stream, and the
+// stream must come back unwritten.
+func TestPlayIndexFeed(t *testing.T) {
+	arr := stream(60)
+	orig := append([]cluster.Arrival(nil), arr...)
+	var mine []int32
+	var sub []cluster.Arrival
+	for i := 1; i < len(arr); i += 3 {
+		mine = append(mine, int32(i))
+		sub = append(sub, arr[i])
+	}
+	mk := newReplica(sched.FIFO, -1)
+	play := func(f func(cluster.Replica) (cluster.ShardResult, error)) cluster.ShardResult {
+		r, err := mk(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := f(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	for _, c := range []struct {
+		mine []int32
+		want []cluster.Arrival
+	}{{mine, sub}, {nil, arr}} {
+		got := play(func(r cluster.Replica) (cluster.ShardResult, error) { return r.Play(arr, c.mine) })
+		want := play(func(r cluster.Replica) (cluster.ShardResult, error) {
+			return r.PlayStream(cluster.NewSliceSource(c.want))
+		})
+		if got.Stats.Completed != len(c.want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Play over %d indices diverged from PlayStream:\n%+v\n%+v", len(c.mine), got, want)
+		}
+	}
+	if !reflect.DeepEqual(arr, orig) {
+		t.Fatal("Play wrote into the shared stream")
 	}
 }
 

@@ -8,26 +8,27 @@ import (
 	"duet/internal/sim"
 )
 
-// This file is the streaming arrival pipeline: RunSource plays a cluster
-// study straight off an O(1)-memory arrival generator, so the run never
-// materializes the O(jobs) []Arrival stream that Run splits in a
-// sequential pre-pass. The front end, the fault pass (dead-shard reroute
-// and hedge duplicates), and each shard's simulation all become a single
-// pass over the source:
+// This file is the cluster's run loop: RunSource plays a cluster study
+// straight off an arrival Source — an O(1)-memory generator, or a
+// materialized stream through SliceSource — so the run itself never
+// builds an O(jobs) structure. The front end, the fault pass (dead-shard
+// reroute and hedge duplicates), and each shard's simulation form a
+// single pass over the source:
 //
 //   - Index-free front ends (HashApp, RoundRobin) need no shared routing
 //     state, so every shard clones the source and filters it down to its
 //     own assignment in parallel — generation itself is parallelized and
 //     no hand-off buffer exists at all.
 //   - Stateful front ends (LeastOutstanding, HealthWeighted) route on a
-//     single producer goroutine — the same sequential decision order as
-//     Run's pre-pass — which feeds each shard through a bounded hand-off
-//     channel (Config.Handoff caps how far the producer runs ahead), so
-//     peak memory is O(shards x Handoff) instead of O(jobs).
+//     single producer goroutine in stream order, which feeds each shard
+//     through a bounded hand-off channel (Config.Handoff caps how far the
+//     producer runs ahead), so peak memory is O(shards x Handoff) instead
+//     of O(jobs).
 //
-// Per (seed, shards, front end, per-shard configs) the merged result is
-// byte-identical to Run over the materialized stream of the same source;
-// the equivalence is pinned by property tests in internal/workload.
+// Both shapes give every shard the same arrival subsequence, so per
+// (seed, shards, front end, per-shard configs) the merged result is
+// byte-identical whichever shape and hand-off bound ran it; golden
+// result hashes in internal/workload pin it.
 
 // Source is a restartable O(1)-memory arrival generator: a pure function
 // of its construction parameters that yields the stream in ascending
@@ -44,8 +45,9 @@ type Source interface {
 	Clone() Source
 }
 
-// SliceSource adapts a materialized stream to the Source interface —
-// tests and small studies can feed RunSource without a generator.
+// SliceSource adapts a materialized stream to the Source interface, so
+// tests and benchmarks can feed RunSource a pre-drawn stream. Arrivals
+// are copied out by value; the stream itself is never written.
 type SliceSource struct {
 	stream []Arrival
 	i      int
@@ -71,6 +73,30 @@ func (s *SliceSource) Len() int { return len(s.stream) }
 
 // Clone restarts the stream from the first entry.
 func (s *SliceSource) Clone() Source { return &SliceSource{stream: s.stream} }
+
+// NewIndexFeed returns a feed yielding stream's entries at the ascending
+// indices mine, or the whole stream when mine is nil — how Replica.Play
+// reaches PlayStream.
+func NewIndexFeed(stream []Arrival, mine []int32) ArrivalFeed {
+	if mine == nil {
+		return NewSliceSource(stream)
+	}
+	return &indexFeed{stream: stream, mine: mine}
+}
+
+type indexFeed struct {
+	stream []Arrival
+	mine   []int32
+}
+
+func (f *indexFeed) Next(a *Arrival) bool {
+	if len(f.mine) == 0 {
+		return false
+	}
+	*a = f.stream[f.mine[0]]
+	f.mine = f.mine[1:]
+	return true
+}
 
 // ArrivalFeed is the pull side of the pipeline: a shard's own assigned
 // arrivals in ascending order. Replica.PlayStream consumes one to
@@ -170,13 +196,13 @@ func (f *SourceFeed) Next(a *Arrival) bool {
 // the static fault spec, so every shard recomputes them independently —
 // that is what lets generation run in parallel with zero hand-off state.
 //
-// Equivalence with Run's applyFaults: reroute rewrites each arrival's
-// single destination (counted at the destination shard, so the per-shard
-// counts sum to the global total), and a hedge duplicate targets
-// nextHealthy(effective) which is never the effective shard itself, so
-// each arrival contributes at most one entry per shard and the duplicate
-// keeps its position directly behind the source arrival in that shard's
-// subsequence — the same per-shard order applyFaults produces.
+// Reroute rewrites each arrival's single destination (counted at the
+// destination shard, so the per-shard counts sum to the global total),
+// and a hedge duplicate targets nextHealthy(effective), which is never
+// the effective shard itself. So each arrival contributes at most one
+// entry per shard, and a duplicate sits directly behind its source
+// arrival's stream position in that shard's subsequence — the order the
+// producer's sequential pass gives the stateful front ends.
 type filterFeed struct {
 	src    Source
 	shard  int
@@ -216,7 +242,7 @@ func (f *filterFeed) Next(a *Arrival) bool {
 		if f.spec != nil && f.spec.Hedge > 0 && f.spec.crashesWithin(eff, a.At) {
 			if alt, ok := f.spec.nextHealthy(f.shards, eff, a.At); ok && alt == f.shard {
 				// The Arrival travels by value, so the duplicate is an
-				// independent job record — same as applyFaults' copy.
+				// independent job record.
 				f.assigned++
 				f.hedged++
 				f.tap.bump(a.At)
@@ -271,9 +297,9 @@ func (f *chanFeed) drainRest() {
 	})
 }
 
-// producer routes the whole source on one goroutine — the identical
-// sequential decision order as Run's route() pre-pass plus applyFaults,
-// interleaved per arrival — and feeds each shard's channel in batches.
+// producer routes the whole source on one goroutine in stream order —
+// front-end pick, then the fault pass, per arrival — and feeds each
+// shard's channel in batches.
 type producer struct {
 	chans            []chan []Arrival
 	batches          [][]Arrival
@@ -302,8 +328,7 @@ func (p *producer) close() {
 // run consumes the source to exhaustion. reps supplies each shard's
 // catalog model for the load-model ranking; routeSpec feeds the
 // health-weighted ranking (nil for plain least-outstanding) and
-// faultSpec the reroute/hedge pass (nil when inactive) — mirroring
-// route() and applyFaults' activation rules exactly.
+// faultSpec the reroute/hedge pass (nil when inactive).
 func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSpec) {
 	lo := newLoadModel(reps)
 	shards := len(p.chans)
@@ -328,11 +353,11 @@ func (p *producer) run(src Source, reps []Replica, routeSpec, faultSpec *FaultSp
 	p.close()
 }
 
-// RunSource plays an arrival source through a sharded serve farm without
-// ever materializing the stream: shards consume their assignment as it
-// is produced, so peak memory is independent of the job count. The
-// merged result is byte-identical to Run over the same source's
-// materialized stream.
+// RunSource plays an arrival source through a sharded serve farm: it
+// builds Shards replicas, routes the source with the configured front
+// end and fault pass, runs every shard concurrently to completion, and
+// merges the results. Shards consume their assignment as it is produced,
+// so peak memory is independent of the job count.
 func RunSource(cfg Config, src Source) (Result, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -411,7 +436,7 @@ func RunSource(cfg Config, src Source) (Result, error) {
 		}
 		var routeSpec *FaultSpec
 		if cfg.FrontEnd == HealthWeighted {
-			routeSpec = cfg.Faults // ranking input even when inactive, like route()
+			routeSpec = cfg.Faults // ranking input even when inactive
 		}
 		p.run(src, reps, routeSpec, faultSpec)
 		wg.Wait()

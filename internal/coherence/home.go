@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"duet/internal/cache"
 	"duet/internal/mem"
@@ -26,6 +27,9 @@ func (d *dirEntry) hasPrivateCopies() bool {
 	return d.owner >= 0 || len(d.sharers) > 0
 }
 
+// copies lists the caches holding the line, in ascending ID order: the
+// home forwards invalidations in list order, so sorting keeps a run's
+// timing independent of map iteration order.
 func (d *dirEntry) copies() []int {
 	if d.owner >= 0 {
 		return []int{d.owner}
@@ -34,6 +38,7 @@ func (d *dirEntry) copies() []int {
 	for id := range d.sharers {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -331,6 +336,7 @@ func (h *Home) processStore(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 				targets = append(targets, id)
 			}
 		}
+		slices.Sort(targets)
 	}
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
@@ -422,6 +428,7 @@ func (h *Home) processWT(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 				targets = append(targets, id)
 			}
 		}
+		slices.Sort(targets)
 	}
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
@@ -497,6 +504,7 @@ func (h *Home) SnapshotLine(line uint64) (data mem.Line, owner int, sharers []in
 		for id := range d.sharers {
 			sharers = append(sharers, id)
 		}
+		slices.Sort(sharers)
 	}
 	return data, owner, sharers
 }

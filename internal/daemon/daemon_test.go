@@ -223,6 +223,33 @@ func TestUnknownApp(t *testing.T) {
 	}
 }
 
+// TestOversizedBody: a submit body past the cap is refused with 413
+// before it is decoded in full, and the server keeps serving normal
+// submissions afterwards.
+func TestOversizedBody(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"app":"` + strings.Repeat("x", maxSubmitBody) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	resp = postJob(t, ts.URL, JobRequest{App: "Tangent", InputSize: 64, Wait: false})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after oversized body: status %d, want 202", resp.StatusCode)
+	}
+	if st := s.Stats(); st.Failed != 0 {
+		t.Fatalf("oversized body reached the scheduler: %+v", st)
+	}
+}
+
 // TestGracefulDrain: Drain retires every admitted job (sync waiters
 // included), refuses new work with 503, and lands the telemetry horizon
 // on the end of the drained timeline.

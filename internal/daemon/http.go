@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -51,11 +52,22 @@ func retryAfter(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
+// maxSubmitBody caps a POST /v1/jobs body. A JobRequest encodes in well
+// under 1 KiB; the cap keeps a hostile client from making the decoder
+// buffer an unbounded body.
+const maxSubmitBody = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req := JobRequest{Wait: true} // sync response unless the body opts out
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", maxSubmitBody))
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -15,11 +15,11 @@ import (
 // accelerators), inverted into a service-time multiplier.
 const DefaultCPUSlowdown = 4.53
 
-// CPUServiceTime is the soft path's analytic occupancy: the App's
+// cpuServiceTime is the soft path's analytic occupancy: the App's
 // fabric service time stretched by the calibrated slowdown. Shared by
 // the CPU backend's dispatch and every placement estimate, so the
 // hybrid policy's spill decision prices exactly what dispatch charges.
-func CPUServiceTime(app *sched.App, inputSize int, slowdown float64) sim.Time {
+func cpuServiceTime(app *sched.App, inputSize int, slowdown float64) sim.Time {
 	return sim.Time(slowdown * float64(app.Cycles(inputSize)) * float64(app.Period()))
 }
 
@@ -220,7 +220,7 @@ func (b *CPU) Bind(_ int64, done func(*sched.Job, error)) { b.done = done }
 
 // ServiceTime is the calibrated soft-path occupancy.
 func (b *CPU) ServiceTime(app *sched.App, inputSize int) sim.Time {
-	return CPUServiceTime(app, inputSize, b.slowdown)
+	return cpuServiceTime(app, inputSize, b.slowdown)
 }
 
 // ReconfigCost is zero: there is nothing to configure.
@@ -228,5 +228,5 @@ func (b *CPU) ReconfigCost(*sched.App) sim.Time { return 0 }
 
 // Dispatch occupies the worker for the slowed-down service time.
 func (b *CPU) Dispatch(j *sched.Job, app *sched.App) {
-	b.tl.AfterArg(CPUServiceTime(app, j.InputSize, b.slowdown), b.finishFn, j)
+	b.tl.AfterArg(cpuServiceTime(app, j.InputSize, b.slowdown), b.finishFn, j)
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"duet/internal/efpga"
 	"duet/internal/sim"
@@ -55,16 +54,6 @@ func (k BackendKind) String() string {
 // MarshalJSON encodes the kind as its String name for machine-readable
 // study output.
 func (k BackendKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
-// BackendKindByName parses a backend kind as printed by String.
-func BackendKindByName(name string) (BackendKind, error) {
-	for k := BackendKind(0); k < NumBackendKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown backend kind %q", name)
-}
 
 // Backend is one execution engine behind a scheduler worker. The
 // scheduler owns admission, policy and accounting; a backend owns how a

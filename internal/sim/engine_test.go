@@ -108,9 +108,8 @@ func TestRunUntil(t *testing.T) {
 
 // TestRunBefore pins the strictly-before contract that distinguishes
 // RunBefore from the inclusive RunUntil: events at exactly the deadline
-// stay pending — the streaming cluster path depends on it so a
-// submission at t still precedes completions at t, matching the
-// pre-scheduled arrival ordering of the materialized path.
+// stay pending — the cluster play loop depends on it so a submission at
+// t still precedes completions at t.
 func TestRunBefore(t *testing.T) {
 	e := NewEngine()
 	ran := 0

@@ -196,12 +196,12 @@ func (ov ChaosOverride) apply(plan *faults.Plan) {
 // BackendHybrid when the scenario carries soft-path workers, so the
 // worker pool matches the model variant exactly.
 func RunChaos(name string, backend BackendMode) (ChaosResult, error) {
-	return RunChaosOverride(name, backend, ChaosOverride{})
+	return runChaosOverride(name, backend, ChaosOverride{})
 }
 
-// RunChaosOverride is RunChaos with the scenario's fault plan adjusted
+// runChaosOverride is RunChaos with the scenario's fault plan adjusted
 // by ov before the run.
-func RunChaosOverride(name string, backend BackendMode, ov ChaosOverride) (ChaosResult, error) {
+func runChaosOverride(name string, backend BackendMode, ov ChaosOverride) (ChaosResult, error) {
 	cfg, err := chaosConfig(name)
 	if err != nil {
 		return ChaosResult{}, err
@@ -272,7 +272,7 @@ func ChaosStudyOverride(parallel int, names []string, backend BackendMode, ov Ch
 		err error
 	}
 	pts := study.Map(parallel, names, func(n string) out {
-		r, err := RunChaosOverride(n, backend, ov)
+		r, err := runChaosOverride(n, backend, ov)
 		return out{r, err}
 	})
 	results := make([]ChaosResult, len(pts))

@@ -273,9 +273,9 @@ func newServeReplica(cfg ServeConfig, shard int, checked, harvest bool, windowWi
 // stream's final instant: the smallest width at which n windows cover
 // every arrival (ceil((last+1)/n)). The span is a pure function of the
 // serve config, so the width — and with it the window keying of every
-// shard — is too. Streaming runs compute last with ArrivalSource.Span
-// (O(1) memory); materialized runs read stream[len-1].At — identical
-// values, so both paths key windows the same way.
+// shard — is too. Generator runs compute last with ArrivalSource.Span
+// (O(1) memory); runs over a pre-drawn stream read stream[len-1].At —
+// identical values, so both key windows the same way.
 func spanWidth(last sim.Time, n int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -304,9 +304,9 @@ func Arrivals(cfg ServeConfig) []cluster.Arrival {
 }
 
 // serveArrivals materializes the study's open-loop arrival stream from
-// ArrivalSource — the single home of the draw sequence, so the
-// materialized and streaming paths are the same stream by construction
-// (a property test pins it). cfg must have defaults applied.
+// ArrivalSource — the single home of the draw sequence, so a pre-drawn
+// stream and the generator are the same stream by construction (a
+// property test pins it). cfg must have defaults applied.
 func serveArrivals(cfg ServeConfig) []cluster.Arrival {
 	src := NewArrivalSource(cfg)
 	arrivals := make([]cluster.Arrival, 0, cfg.Jobs)

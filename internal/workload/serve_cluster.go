@@ -103,9 +103,8 @@ func (cfg ClusterConfig) shardConfig(shard int) ServeConfig {
 // serve farm and reports the merged statistics. The arrival stream is
 // consumed straight from the generator through cluster.RunSource —
 // never materialized — so a billion-job study runs at the same peak
-// memory as a million-job one. Results are byte-identical to the
-// materialized path (ServeClusterOver over Arrivals), which property
-// tests pin.
+// memory as a million-job one. Results are byte-identical to
+// ServeClusterOver over Arrivals, which property tests pin.
 func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 	var err error
 	if cfg, err = cfg.normalized(); err != nil {
@@ -118,19 +117,14 @@ func ServeCluster(cfg ClusterConfig) (ClusterResult, error) {
 		// pass), not stream[len-1].At — same value, no stream.
 		width = spanWidth(src.Span(), cfg.Windows)
 	}
-	res, err := cluster.RunSource(cfg.clusterConfig(width), src)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	return cfg.result(res), nil
+	return cfg.run(width, src)
 }
 
 // ServeClusterOver is ServeCluster over a caller-provided materialized
-// arrival stream (see Arrivals) — benchmarks use it to keep stream
-// generation outside their timed region, and the equivalence tests use
-// it as the reference the streaming path must reproduce byte for byte.
-// The stream is consumed by the run: replicas write job outcomes into
-// it, so callers must generate a fresh stream per run.
+// arrival stream (see Arrivals), played through the same pipeline via
+// cluster.SliceSource. Benchmarks use it to keep stream generation
+// outside their timed region. Jobs are copied out of the stream, which
+// is only read, so one stream may serve several runs.
 func ServeClusterOver(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResult, error) {
 	var err error
 	if cfg, err = cfg.normalized(); err != nil {
@@ -138,11 +132,31 @@ func ServeClusterOver(cfg ClusterConfig, stream []cluster.Arrival) (ClusterResul
 	}
 	// One width for every shard, derived from the shared stream, so the
 	// per-shard window series align index for index in the merge.
-	res, err := cluster.Run(cfg.clusterConfig(windowWidth(stream, cfg.Windows)), stream)
+	return cfg.run(windowWidth(stream, cfg.Windows), cluster.NewSliceSource(stream))
+}
+
+// run plays src through cluster.RunSource with telemetry window width
+// width and maps the result onto the study's record shape.
+func (cfg ClusterConfig) run(width sim.Time, src cluster.Source) (ClusterResult, error) {
+	res, err := cluster.RunSource(cfg.clusterConfig(width), src)
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	return cfg.result(res), nil
+	cr := ClusterResult{
+		Policy:   cfg.Policy,
+		Backend:  cfg.Backend,
+		FrontEnd: res.FrontEnd,
+		Shards:   res.Shards,
+		Offered:  res.Offered,
+		Merged:   res.Merged,
+		PerShard: res.PerShard,
+		Rerouted: res.Rerouted,
+		Hedged:   res.Hedged,
+	}
+	if res.Windows != nil {
+		cr.Windows = res.Windows.Series()
+	}
+	return cr, nil
 }
 
 // normalized applies defaults and validates the shard-spec shape.
@@ -184,25 +198,6 @@ func (cfg ClusterConfig) clusterConfig(width sim.Time) cluster.Config {
 		}
 	}
 	return ccfg
-}
-
-// result maps a cluster-level result onto the study's record shape.
-func (cfg ClusterConfig) result(res cluster.Result) ClusterResult {
-	cr := ClusterResult{
-		Policy:   cfg.Policy,
-		Backend:  cfg.Backend,
-		FrontEnd: res.FrontEnd,
-		Shards:   res.Shards,
-		Offered:  res.Offered,
-		Merged:   res.Merged,
-		PerShard: res.PerShard,
-		Rerouted: res.Rerouted,
-		Hedged:   res.Hedged,
-	}
-	if res.Windows != nil {
-		cr.Windows = res.Windows.Series()
-	}
-	return cr
 }
 
 // ClusterStudy runs one ServeCluster per config on a parallel-wide study

@@ -116,13 +116,13 @@ func TestArrivalSourceMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestServeClusterStreamingMatchesMaterialized pins the tentpole's
-// equivalence claim end to end: ServeCluster (streaming pipeline, no
-// materialized stream) must reproduce ServeClusterOver (the sequential
-// pre-pass over a materialized stream) exactly — full ClusterResult
+// TestServeClusterStreamingMatchesMaterialized pins the cluster
+// pipeline's output end to end, across front ends, stats modes,
+// backends, fault plans and hand-off bounds. ServeCluster (the
+// generator, cloned per shard) must reproduce ServeClusterOver (a
+// materialized stream through SliceSource) exactly — full ClusterResult
 // DeepEqual, including per-shard samples, fault-pass counts and
-// telemetry — across front ends, stats modes, backends, fault plans
-// and hand-off bounds.
+// telemetry — and each result must match its golden hash.
 func TestServeClusterStreamingMatchesMaterialized(t *testing.T) {
 	crash := &faults.Plan{
 		Seed:      11,

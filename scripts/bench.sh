@@ -6,10 +6,10 @@
 #
 # The set covers the two layers PERF.md tracks: the sim-kernel hot path
 # (engine scheduling, clock ticks, same-instant bursts, thread wakeups)
-# and the serve studies on both execution backends — the materialized 1M
-# runs plus the 100M-job streaming-pipeline capacity run. -benchtime 1x
-# on the serve benches: one deterministic run is the measurement,
-# iterating it would only multiply CI time.
+# and the serve studies on both execution backends — the 1M runs over a
+# pre-drawn stream plus the 100M-job generator-fed capacity run.
+# -benchtime 1x on the serve benches: one deterministic run is the
+# measurement, iterating it would only multiply CI time.
 set -eu
 cd "$(dirname "$0")/.."
 
