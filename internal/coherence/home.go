@@ -42,6 +42,11 @@ func (d *dirEntry) copies() []int {
 	return out
 }
 
+// copiesExcept is copies without the requester's own cache.
+func (d *dirEntry) copiesExcept(id int) []int {
+	return slices.DeleteFunc(d.copies(), func(c int) bool { return c == id })
+}
+
 // lineCtx serializes home-side work per line.
 type lineCtx struct {
 	busy bool
@@ -327,17 +332,7 @@ func (h *Home) processStore(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 		panic(fmt.Sprintf("home: store from owner %d for %#x", req.CacheID, req.Line))
 	}
 	// Invalidate every other copy.
-	var targets []int
-	if d.owner >= 0 {
-		targets = []int{d.owner}
-	} else {
-		for id := range d.sharers {
-			if id != req.CacheID {
-				targets = append(targets, id)
-			}
-		}
-		slices.Sort(targets)
-	}
+	targets := d.copiesExcept(req.CacheID)
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
 	}
@@ -419,17 +414,7 @@ func (h *Home) processWT(t *sim.Thread, req *ReqMsg, tx *sim.TX) {
 	d := h.dir[req.Line]
 	// Invalidate every copy except the requester's S copy (which is
 	// refreshed by the WTAck payload).
-	var targets []int
-	if d.owner >= 0 && d.owner != req.CacheID {
-		targets = []int{d.owner}
-	} else {
-		for id := range d.sharers {
-			if id != req.CacheID {
-				targets = append(targets, id)
-			}
-		}
-		slices.Sort(targets)
-	}
+	targets := d.copiesExcept(req.CacheID)
 	for _, id := range targets {
 		h.forward(id, &FwdMsg{Type: FwdInv, Line: req.Line}, tx)
 	}
