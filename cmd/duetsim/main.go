@@ -19,7 +19,7 @@
 //	duetsim loadgen         # drive a running daemon with open/closed load
 //	duetsim all             # the paper's tables and figures above
 //
-// Every sweep (fig9, fig10, fig11, ablate, study, serve, cluster, xval,
+// Every sweep (fig9–fig12, ablate, study, serve, cluster, xval,
 // chaos) runs its grid of independent simulation points on the internal/study
 // worker pool; -parallel bounds the pool (default GOMAXPROCS) and the
 // output is byte-identical at every width. -json switches the sweep
@@ -217,7 +217,7 @@ loop:
 		case "fig11":
 			fig11(*parallel, *jsonOut)
 		case "fig12":
-			fig12(*quick)
+			fig12(*parallel, *quick)
 		case "ablate", "ablations":
 			ablations(*parallel, *jsonOut)
 		case "study":
@@ -278,7 +278,7 @@ loop:
 			fig9(*parallel, false)
 			fig10(*parallel, false)
 			fig11(*parallel, false)
-			fig12(*quick)
+			fig12(*parallel, *quick)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown command %q\n", cmd)
 			usage()
@@ -627,7 +627,7 @@ func studyCmd(parallel int, quick, jsonOut bool) {
 	printAblation(doc.Ablation)
 }
 
-func fig12(quick bool) {
+func fig12(parallel int, quick bool) {
 	header("Fig. 12: Application Benchmark Speedup and ADP (normalized to processor-only)")
 	benches := apps.All()
 	if quick {
@@ -635,10 +635,8 @@ func fig12(quick bool) {
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tSpeedup Duet\tSpeedup FPSoC\tADP Duet\tADP FPSoC\tCPU runtime\tcheck")
-	var rows []apps.Fig12Row
-	for _, b := range benches {
-		r := apps.RunOne(b)
-		rows = append(rows, r)
+	rows := apps.Fig12P(parallel, benches)
+	for _, r := range rows {
 		status := "ok"
 		if r.Err != nil {
 			status = r.Err.Error()

@@ -13,6 +13,7 @@ import (
 	"duet/internal/area"
 	"duet/internal/cpu"
 	"duet/internal/sim"
+	"duet/internal/study"
 )
 
 // Variant selects the system organization a benchmark runs on.
@@ -86,13 +87,16 @@ type Fig12Row struct {
 }
 
 // Fig12 runs every benchmark in all three variants and computes
-// normalized speedup and area-delay product.
-func Fig12() []Fig12Row {
-	var rows []Fig12Row
-	for _, b := range All() {
-		rows = append(rows, RunOne(b))
-	}
-	return rows
+// normalized speedup and area-delay product, on a default-width
+// (GOMAXPROCS) study pool.
+func Fig12() []Fig12Row { return Fig12P(0, All()) }
+
+// Fig12P runs benches on a parallel-wide study pool (<= 0 selects
+// GOMAXPROCS), one point per benchmark, and returns their rows in bench
+// order. Every variant simulates a complete independent System, so the
+// rows are identical for every pool width.
+func Fig12P(parallel int, benches []Benchmark) []Fig12Row {
+	return study.Map(parallel, benches, RunOne)
 }
 
 // RunOne executes one benchmark across the three variants.

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -149,5 +150,27 @@ func TestHARuntimeDeterministic(t *testing.T) {
 				t.Fatalf("bfs/16 variant %v run %d: runtime %v, first run %v", v, i, r.Runtime, first.Runtime)
 			}
 		}
+	}
+}
+
+// TestFig12PWidthIndependent pins the study-pool contract for Fig. 12:
+// reduced FG and HA benchmarks give identical rows, in bench order, at
+// pool widths 1 and 2.
+func TestFig12PWidthIndependent(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "sort/32", Run: func(v Variant) Result { return RunSort(v, SortConfig{N: 32, Rounds: 2, Seed: 32}) }},
+		{Name: "pdes/4", Run: func(v Variant) Result {
+			return RunPDES(v, PDESConfig{Cores: 4, Population: 16, Horizon: 150, Seed: 11})
+		}},
+		{Name: "bfs/4", Run: func(v Variant) Result { return RunBFS(v, BFSConfig{Cores: 4, Nodes: 128, AvgDegree: 4, Seed: 13}) }},
+	}
+	seq := Fig12P(1, benches)
+	for i, r := range seq {
+		if r.Err != nil || r.Name != benches[i].Name {
+			t.Fatalf("row %d = %s, err %v; want %s", i, r.Name, r.Err, benches[i].Name)
+		}
+	}
+	if par := Fig12P(2, benches); !reflect.DeepEqual(seq, par) {
+		t.Fatalf("width 2 rows differ from width 1:\n%+v\n%+v", par, seq)
 	}
 }

@@ -72,8 +72,10 @@ func BenchmarkEngineClockTicks(b *testing.B) {
 
 // BenchmarkThreadPingPong measures the thread wakeup path: two coroutine
 // threads handing control back and forth through a pair of conditions.
-// Each round trip is two parks, two wakeup events, and four goroutine
-// handoffs; the scheduling side of it must not allocate.
+// Each round trip is two parks, two wakeup events, and four coroutine
+// switches; the scheduling side of it must not allocate (pinned by
+// TestThreadWakeAllocFree). The allocations reported here are all spawn
+// cost: one engine, two threads and their two coroutines per op.
 func BenchmarkThreadPingPong(b *testing.B) {
 	const rounds = 512
 	b.ReportAllocs()

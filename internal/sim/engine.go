@@ -4,9 +4,10 @@
 // Time is measured in integer picoseconds (Time). Components schedule
 // callbacks on an Engine; clocked components derive edge times from Clock.
 // Sequential "programs" (processor software, behavioural accelerator models)
-// run as Threads: goroutines that are resumed one at a time by the engine,
-// which keeps the simulation fully deterministic while letting benchmark
-// code be written as ordinary straight-line Go.
+// run as Threads: runtime coroutines (iter.Pull) that the engine resumes one
+// at a time, switching to and from each directly rather than through the Go
+// scheduler. That keeps the simulation fully deterministic while letting
+// benchmark code be written as ordinary straight-line Go.
 //
 // The event queue is a calendar of per-timestamp buckets ordered by a
 // hand-rolled 4-ary heap of bucket handles. Because clocked models schedule

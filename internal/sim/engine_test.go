@@ -522,7 +522,7 @@ func TestDeadlockedThreadDetectable(t *testing.T) {
 	if e.LiveThreads() != 1 {
 		t.Fatalf("expected 1 live (deadlocked) thread, got %d", e.LiveThreads())
 	}
-	// Wake it so the goroutine exits cleanly.
+	// Wake it so its coroutine exits cleanly.
 	c.Broadcast()
 	e.Run(0)
 	if e.LiveThreads() != 0 {
@@ -561,5 +561,58 @@ func TestTimeString(t *testing.T) {
 		if got := in.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int64(in), got, want)
 		}
+	}
+}
+
+// TestThreadWakeAllocFree pins the kernel's contract that the scheduling
+// side of a park/wake round trip allocates nothing: on a warm engine with a
+// pooled worker, each round trip is a Wake, a dispatch event, a coroutine
+// switch in and a park back out.
+func TestThreadWakeAllocFree(t *testing.T) {
+	e := NewEngineCap(16)
+	e.Go("warmup", func(*Thread) {})
+	e.RunBefore(NS) // the warm-up thread finishes and pools its worker
+	stop := false
+	th := e.Go("waiter", func(th *Thread) {
+		for !stop {
+			th.Park()
+		}
+	})
+	e.RunBefore(2 * NS) // the waiter reuses the pooled worker and parks
+	roundTrip := func() {
+		th.Wake()
+		e.RunBefore(e.Now() + NS)
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 0 {
+		t.Fatalf("park/wake round trip allocates %v times, want 0", allocs)
+	}
+	stop = true
+	th.Wake()
+	e.Run(0)
+	if e.LiveThreads() != 0 {
+		t.Fatalf("live threads = %d, want 0", e.LiveThreads())
+	}
+}
+
+// TestThreadPanicReachesRunCaller pins that a panic in a thread body
+// surfaces from the Run call that dispatched the thread, with its original
+// value, so callers such as study.Map can recover it and add context.
+func TestThreadPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	e.Go("bad", func(th *Thread) {
+		th.Sleep(5 * NS)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run(0)
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if e.Now() != 5*NS {
+		t.Fatalf("panicked at %v, want 5ns", e.Now())
 	}
 }

@@ -1,10 +1,14 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Thread is a deterministic coroutine: a goroutine that the engine resumes
-// one at a time. At any instant at most one thread (or event callback) is
-// executing, so models need no locking and simulations are reproducible.
+// Thread is a deterministic coroutine: a runtime coroutine (iter.Pull)
+// that the engine resumes one at a time. At any instant at most one thread
+// (or event callback) is executing, so models need no locking and
+// simulations are reproducible.
 //
 // Thread code interacts with simulated time only through the blocking
 // methods (Sleep, WaitUntil, park via Cond/queues). All wakeups are routed
@@ -14,8 +18,7 @@ import "fmt"
 type Thread struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
-	yield  chan struct{}
+	w      *worker // coroutine running this thread's body
 	parked bool
 	done   bool
 	wake   Event // pre-built dispatch record; see Engine.AtEvent
@@ -24,37 +27,47 @@ type Thread struct {
 // dispatchThread is the shared trampoline behind every thread wakeup event.
 func dispatchThread(a any) { a.(*Thread).dispatch() }
 
-// worker is a pooled coroutine: a goroutine and its channel pair, reused
-// across finished threads so models that spawn threads per transaction
-// (e.g. the coherence homes) pay the goroutine and channel setup once.
-// All pool accesses happen in simulation context — at most one thread or
-// callback runs at a time — so the pool needs no locking, and every
-// cross-goroutine access is ordered by the resume/yield handoffs.
+// worker is a pooled coroutine: an iter.Pull over a loop that runs one
+// thread body after another, reused across finished threads so models
+// that spawn threads per transaction (e.g. the coherence homes) pay the
+// coroutine setup once. next switches straight to the coroutine and yield
+// straight back, without a trip through the Go scheduler. All pool
+// accesses happen in simulation context — at most one thread or callback
+// runs at a time — so the pool needs no locking.
 type worker struct {
-	resume chan struct{}
-	yield  chan struct{}
-	t      *Thread // thread to run next; nil tells the loop to exit
-	fn     func(*Thread)
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	t     *Thread // thread to run next; nil tells the loop to exit
+	fn    func(*Thread)
 }
 
-func (w *worker) loop(e *Engine) {
-	for {
-		<-w.resume
-		if w.t == nil {
-			return // reaped: the engine drained its queue
+// newWorker builds a worker whose coroutine, on each resume, runs the
+// handed-over thread to completion, returns itself to e's pool and yields;
+// resumed with no thread, the loop returns and the coroutine ends. The
+// coroutine starts on the first next, after Go has handed it a thread.
+func newWorker(e *Engine) *worker {
+	w := &worker{}
+	w.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for w.t != nil {
+			t, fn := w.t, w.fn
+			w.t, w.fn = nil, nil
+			fn(t)
+			t.done = true
+			e.liveThreads--
+			e.pool = append(e.pool, w)
+			yield(struct{}{})
 		}
-		t, fn := w.t, w.fn
-		w.t, w.fn = nil, nil
-		fn(t)
-		t.done = true
-		e.liveThreads--
-		e.pool = append(e.pool, w)
-		t.yield <- struct{}{}
-	}
+	})
+	return w
 }
 
 // Go spawns fn as a new simulation thread named name. The thread begins
 // running at the current simulation time (via a scheduled event).
+//
+// A panic in fn propagates out of the Run, RunUntil or RunBefore call that
+// dispatched the thread, to that call's caller, with the original panic
+// value. The engine is left mid-event and must be discarded.
 func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 	var w *worker
 	if n := len(e.pool); n > 0 {
@@ -62,17 +75,12 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		w = &worker{
-			resume: make(chan struct{}),
-			yield:  make(chan struct{}),
-		}
-		go w.loop(e)
+		w = newWorker(e)
 	}
 	t := &Thread{
 		eng:    e,
 		name:   name,
-		resume: w.resume,
-		yield:  w.yield,
+		w:      w,
 		parked: true,
 	}
 	t.wake = Event{Fn: dispatchThread, Arg: t}
@@ -89,13 +97,13 @@ func (e *Engine) Go(name string, fn func(*Thread)) *Thread {
 // the unpooled design). Spawns after the reap simply start fresh workers.
 func (e *Engine) reapWorkers() {
 	for i, w := range e.pool {
-		w.resume <- struct{}{} // w.t == nil: the loop exits
+		w.next() // w.t == nil: the loop returns
 		e.pool[i] = nil
 	}
 	e.pool = e.pool[:0]
 }
 
-// dispatch resumes the thread from engine context and blocks until it parks
+// dispatch resumes the thread from engine context and returns when it parks
 // again or finishes. Spurious dispatches of a running or finished thread are
 // ignored.
 func (t *Thread) dispatch() {
@@ -103,22 +111,20 @@ func (t *Thread) dispatch() {
 		return
 	}
 	t.parked = false
-	t.resume <- struct{}{}
-	<-t.yield
+	t.w.next()
 }
 
 // park suspends the thread until the next dispatch. Must be called from the
-// thread's own goroutine.
+// thread's own coroutine.
 func (t *Thread) park() {
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	t.w.yield(struct{}{})
 }
 
 // Park suspends the thread until another component wakes it (Wake, a Cond
 // signal, or a timed wakeup). As with Cond.Wait, callers re-check their
 // predicate in a loop: dispatches may be spurious. Must be called from the
-// thread's own goroutine.
+// thread's own coroutine.
 func (t *Thread) Park() { t.park() }
 
 // Wake schedules a dispatch of t at the current instant if t is parked —
