@@ -410,6 +410,41 @@ func BenchmarkServeRecovery(b *testing.B) {
 	}
 }
 
+// BenchmarkServeAffinitySaturated gates reuse-aware placement at depth:
+// 4 model-backend shards under Affinity with 1024-deep admission queues
+// that a 5 µs mean gap keeps full, and a wedge+repair plan, so idle
+// workers sit in quarantine while placement scans long queues for a
+// resident match. The model backend keeps the run cheap; the scheduler
+// is the same one the cycle-level backend drives.
+func BenchmarkServeAffinitySaturated(b *testing.B) {
+	cfg := workload.ClusterConfig{
+		ServeConfig: workload.ServeConfig{
+			Policy: sched.Affinity, Jobs: 200_000, Seed: 1, MeanGapUS: 5,
+			QueueCap: 1024, Stats: sched.StatsStreaming, Backend: workload.BackendModel,
+			Faults: &faults.Plan{
+				Seed: 1, WedgeProb: 0.05, MaxRetries: 2,
+				RepairDelay: 500 * sim.US,
+			},
+		},
+		Shards:   4,
+		FrontEnd: cluster.RoundRobin,
+	}
+	stream := drawStream1M(b, cfg)
+	for i := 0; i < b.N; i++ {
+		r, err := workload.ServeClusterOver(cfg, stream)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := r.Merged
+		if m.Wedges == 0 || m.Rejected == 0 {
+			b.Fatalf("run neither wedged nor saturated: %+v", m)
+		}
+		if got := m.Completed + m.Failed + m.Rejected; got != r.Offered {
+			b.Fatalf("job conservation: offered %d, completed+failed+rejected %d", r.Offered, got)
+		}
+	}
+}
+
 // BenchmarkAblation_BFSLockDiscipline compares the BFS baseline's naive
 // test-and-set lock against an MCS queue lock: the Duet speedup shrinks
 // when the baseline synchronizes better, isolating how much of the win

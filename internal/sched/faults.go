@@ -127,6 +127,7 @@ func (s *Scheduler) failQueued(now sim.Time, w Downtime) {
 		j.Err = fmt.Errorf("sched: queued job killed by shard outage [%v, %v): %w", w.From, w.To, ErrUnavailable)
 		s.retire(j)
 	}
+	clear(q)
 }
 
 // DownAt reports whether instant at falls inside a configured outage
@@ -147,17 +148,30 @@ func (s *Scheduler) DownAt(at sim.Time) bool {
 // retiring each with ErrTimedOut. Runs at dispatch entry under
 // EnforceDeadlines, so a job is never placed after its deadline.
 func (s *Scheduler) purgeExpired(now sim.Time) {
-	kept := s.queue[:0]
-	for _, j := range s.queue {
+	s.filterQueue(func(j *Job) bool {
 		if j.Deadline > 0 && j.Deadline <= now {
 			j.Finish = now
 			j.Err = fmt.Errorf("sched: %w (deadline %v, now %v)", ErrTimedOut, j.Deadline, now)
 			s.observeTimeout(now)
 			s.retire(j)
-			continue
+			return false
 		}
-		kept = append(kept, j)
+		return true
+	})
+}
+
+// filterQueue keeps, in arrival order, the queued jobs keep returns true
+// for (keep retires the others itself), and nils the slots the kept jobs
+// vacate so the backing array holds no retired job.
+func (s *Scheduler) filterQueue(keep func(*Job) bool) {
+	q := s.queue
+	kept := q[:0]
+	for _, j := range q {
+		if keep(j) {
+			kept = append(kept, j)
+		}
 	}
+	clear(q[len(kept):])
 	s.queue = kept
 }
 
@@ -181,17 +195,15 @@ func (s *Scheduler) quarantine(w *worker, now sim.Time) {
 			s.tl.AfterArg(d, s.repairFn, w)
 		}
 	}
-	kept := s.queue[:0]
-	for _, j := range s.queue {
+	s.filterQueue(func(j *Job) bool {
 		if s.placeableEventually(j) {
-			kept = append(kept, j)
-			continue
+			return true
 		}
 		j.Finish = now
 		j.Err = fmt.Errorf("sched: every fitting worker quarantined: %w", ErrUnavailable)
 		s.retire(j)
-	}
-	s.queue = kept
+		return false
+	})
 }
 
 // repair is the scheduled repair-event callback: it returns a
@@ -270,7 +282,7 @@ func (s *Scheduler) completeWedged(w *worker, j *Job, err error, now sim.Time) {
 		j.Reprogrammed = false
 		j.Err = nil
 		s.observeRetry(now)
-		s.queue = append(s.queue, j)
+		s.enqueue(j)
 		s.release(w, now)
 		return
 	}

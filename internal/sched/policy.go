@@ -59,18 +59,22 @@ func PolicyByName(name string) (Policy, error) {
 
 // pick applies the configured policy: it returns the chosen idle worker
 // and the queue index of the job to place, or (nil, -1) when nothing is
-// placeable — the queue is empty, every worker is busy, or (with
-// heterogeneous capacities) every worker the candidate fits is busy.
-// Jobs are only ever paired with workers that can hold their bitstream,
-// so an admitted job waits for a fitting worker instead of being killed
-// on a too-small one.
+// placeable — the queue is empty, no idle worker is policy-usable, or
+// (with heterogeneous capacities) every worker the candidate fits is
+// busy. Jobs are only ever paired with workers that can hold their
+// bitstream, so an admitted job waits for a fitting worker instead of
+// being killed on a too-small one.
+//
+// The idle list holds only policy-usable workers, so a pool whose idle
+// workers are all quarantined (or spill-only) costs one pass over the
+// workers, never a queue scan.
 func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	if len(s.queue) == 0 {
 		return nil, -1
 	}
 	idle := s.idleScratch[:0]
 	for _, w := range s.workers {
-		if !w.busy {
+		if !w.busy && s.usable(w) {
 			idle = append(idle, w)
 		}
 	}
@@ -78,37 +82,16 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	if len(idle) == 0 {
 		return nil, -1
 	}
-	// firstFit returns the lowest-numbered idle policy-usable worker
-	// that fits the job's bitstream; preferResident upgrades to a
-	// resident match. Both skip CPU soft-path workers whenever fabric
-	// workers exist — spill capacity belongs to the Hybrid policy alone.
+	// firstFit returns the lowest-numbered idle worker that fits the
+	// job's bitstream. CPU soft-path workers are in idle only when the
+	// policy may place on them (see usable).
 	firstFit := func(j *Job) *worker {
-		app := j.app
 		for _, w := range idle {
-			if !s.usable(w) {
-				continue
-			}
-			if app.BS.Res.Fits(w.be.Capacity()) {
+			if j.app.BS.Res.Fits(w.be.Capacity()) {
 				return w
 			}
 		}
 		return nil
-	}
-	preferResident := func(j *Job) *worker {
-		app := j.app
-		var first *worker
-		for _, w := range idle {
-			if !s.usable(w) || !app.BS.Res.Fits(w.be.Capacity()) {
-				continue
-			}
-			if w.be.Resident() == j.App {
-				return w
-			}
-			if first == nil {
-				first = w
-			}
-		}
-		return first
 	}
 	switch s.cfg.Policy {
 	case SJF:
@@ -129,12 +112,28 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 		if best == -1 {
 			return nil, -1
 		}
-		return preferResident(s.queue[best]), best
+		// Prefer a fitting worker where the job's bitstream is resident.
+		j := s.queue[best]
+		var first *worker
+		for k, a := range s.residents(idle) {
+			w := idle[k]
+			if !j.app.BS.Res.Fits(w.be.Capacity()) {
+				continue
+			}
+			if a == j.app {
+				return w, best
+			}
+			if first == nil {
+				first = w
+			}
+		}
+		return first, best
 	case Affinity:
+		res := s.residents(idle)
 		for i, j := range s.queue {
-			for _, w := range idle {
-				if s.usable(w) && w.be.Resident() == j.App {
-					return w, i
+			for k, a := range res {
+				if a == j.app {
+					return idle[k], i
 				}
 			}
 		}
@@ -156,14 +155,34 @@ func (s *Scheduler) pick(now sim.Time) (*worker, int) {
 	}
 }
 
+// residents resolves each idle worker's installed bitstream to its
+// catalog entry, once per pick: entry k belongs to idle[k], nil when the
+// worker is scrubbed, unprogrammed or holds a bitstream outside the
+// catalog. Queued jobs carry their resolved *App, so a resident match is
+// a pointer compare.
+func (s *Scheduler) residents(idle []*worker) []*App {
+	res := s.resScratch[:0]
+	for _, w := range idle {
+		var a *App
+		if name := w.be.Resident(); name != "" {
+			a = s.apps[name]
+		}
+		res = append(res, a)
+	}
+	s.resScratch = res
+	return res
+}
+
 // pickHybrid is the Hybrid policy body: reuse-aware fabric placement
 // first, then a modeled spill decision onto idle CPU soft-path workers.
+// idle holds the idle non-quarantined workers of both classes.
 func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 	// Pass 1: bitstream affinity over idle fabric-class workers.
+	res := s.residents(idle)
 	for i, j := range s.queue {
-		for _, w := range idle {
-			if !w.quarantined && w.be.Kind() != BackendCPU && w.be.Resident() == j.App {
-				return w, i
+		for k, a := range res {
+			if a == j.app && idle[k].be.Kind() != BackendCPU {
+				return idle[k], i
 			}
 		}
 	}
@@ -171,7 +190,7 @@ func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 	for i, j := range s.queue {
 		app := j.app
 		for _, w := range idle {
-			if !w.quarantined && w.be.Kind() != BackendCPU && app.BS.Res.Fits(w.be.Capacity()) {
+			if w.be.Kind() != BackendCPU && app.BS.Res.Fits(w.be.Capacity()) {
 				return w, i
 			}
 		}
@@ -185,7 +204,7 @@ func (s *Scheduler) pickHybrid(idle []*worker, now sim.Time) (*worker, int) {
 	// fits its bitstream at all.
 	var cpu *worker
 	for _, w := range idle {
-		if !w.quarantined && w.be.Kind() == BackendCPU {
+		if w.be.Kind() == BackendCPU {
 			cpu = w
 			break
 		}

@@ -167,8 +167,14 @@ type Scheduler struct {
 	apps    map[string]*App
 	appList []string // registration order (deterministic iteration)
 	workers []*worker
-	queue   []*Job
 	nextID  int
+
+	// queue is the admission queue in arrival order: a window into qbuf,
+	// the whole backing array. Removals move the shorter side of the
+	// hole and enqueue slides the window back to the array's start, so
+	// slots outside the window are always nil (see dequeue/enqueue).
+	queue []*Job
+	qbuf  []*Job
 
 	// Downtime state machine (see faults.go): down is true while the
 	// shard is inside Faults.Down[downIdx]; both advance lazily at
@@ -198,6 +204,7 @@ type Scheduler struct {
 
 	// Policy scratch (reused across pick calls; see policy.go).
 	idleScratch []*worker
+	resScratch  []*App
 	estScratch  []sim.Time
 
 	// Outcome ledgers (exact mode; streaming mode keeps them empty and
@@ -374,10 +381,44 @@ func (s *Scheduler) Submit(j *Job) bool {
 		s.Rejected++
 		return false
 	}
-	s.queue = append(s.queue, j)
+	s.enqueue(j)
 	s.observeArrival(now, len(s.queue))
 	s.dispatch(now)
 	return true
+}
+
+// enqueue appends j to the admission queue. When front removals have
+// used up the room past the window's end, the window slides back to the
+// start of its backing array instead of growing a new one: the array
+// grows only when the queue itself outgrows it.
+func (s *Scheduler) enqueue(j *Job) {
+	if n := len(s.queue); n == cap(s.queue) && n < len(s.qbuf) {
+		copy(s.qbuf, s.queue)
+		clear(s.qbuf[n:])
+		s.queue = s.qbuf[:n]
+	}
+	s.queue = append(s.queue, j)
+	if cap(s.queue) > len(s.qbuf) {
+		s.qbuf = s.queue[:cap(s.queue)]
+	}
+}
+
+// dequeue removes and returns queue entry i, keeping arrival order. It
+// moves whichever side of i is shorter — so removing the head is O(1) —
+// and nils the vacated slot, so the backing array keeps no retired job.
+func (s *Scheduler) dequeue(i int) *Job {
+	q := s.queue
+	j := q[i]
+	if i < len(q)-1-i {
+		copy(q[1:i+1], q[:i])
+		q[0] = nil
+		s.queue = q[1:]
+	} else {
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = nil
+		s.queue = q[:len(q)-1]
+	}
+	return j
 }
 
 // dispatch drains the admission queue onto idle workers, one placement
@@ -395,9 +436,7 @@ func (s *Scheduler) dispatch(now sim.Time) {
 		if w == nil {
 			return
 		}
-		j := s.queue[qi]
-		s.queue = append(s.queue[:qi], s.queue[qi+1:]...)
-		s.place(w, j, now)
+		s.place(w, s.dequeue(qi), now)
 	}
 }
 

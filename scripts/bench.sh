@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 run_benches() {
     go test -run '^$' -bench 'BenchmarkEngineSchedule$|BenchmarkEngineClockTicks$|BenchmarkEngineSameInstantBurst$|BenchmarkThreadPingPong$' -benchtime 200000x ./internal/sim
-    go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$' -benchtime 1x -timeout 30m .
+    go test -run '^$' -bench 'BenchmarkServeModel1M$|BenchmarkServeModel100M$|BenchmarkServeStream1M$|BenchmarkServeFaultFree$|BenchmarkServeRecovery$|BenchmarkServeAffinitySaturated$' -benchtime 1x -timeout 30m .
 }
 
 case "${1:-snapshot}" in
